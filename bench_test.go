@@ -304,7 +304,7 @@ func sharedSweep(b *testing.B) (*simulate.Engine, []simulate.Scenario) {
 // BenchmarkSweepSerialEngine is the pre-existing batch path: answering
 // each sweep scenario with its own full engine (one complete
 // resimulation per scenario — what running the fleet through
-// cmd/simulate -scenario or Study.WhatIf per scenario costs). ns/op is
+// cmd/simulate -scenario once per scenario costs). ns/op is
 // the serial per-scenario price the sweep executor is judged against.
 // The full sweep is infeasible at ~4.5s per scenario, so -benchtime
 // sizes a sample, strided across the scenario list to avoid the
@@ -554,7 +554,7 @@ func BenchmarkEndToEndStudy(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := s.RunAll(io.Discard, RunAllOptions{
+		if err := NewSessionFromStudy(s).RunAll(context.Background(), io.Discard, RunAllOptions{
 			TierOneProviders: 3, Table6Rows: 8, Table6MinPrefixes: 2,
 			DailyEpochs: 0, HourlyEpochs: 0, Routers: 6, DriftRouters: 1, Figure9ASes: 2,
 		}); err != nil {

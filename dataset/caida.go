@@ -10,7 +10,6 @@ import (
 	"github.com/policyscope/policyscope/internal/bgp"
 	"github.com/policyscope/policyscope/internal/netx"
 	"github.com/policyscope/policyscope/internal/routeviews"
-	"github.com/policyscope/policyscope/internal/simulate"
 	"github.com/policyscope/policyscope/internal/topogen"
 )
 
@@ -135,30 +134,11 @@ func (c *CAIDAFile) buildStudy(ctx context.Context, g *asgraph.Graph) (*policysc
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	intern := bgp.NewIntern()
-	res, err := simulate.Run(topo, simulate.Options{
-		VantagePoints: peers,
-		Parallelism:   c.Parallelism,
-		Intern:        intern,
-	})
+	in, err := policyscope.ConvergeInputs(c.studyConfig(topo, peers), topo, peers)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("dataset: %s: %w", c.Path, err)
 	}
-	if len(res.Unconverged) > 0 {
-		return nil, fmt.Errorf("dataset: %s: %d prefixes did not converge", c.Path, len(res.Unconverged))
-	}
-	snap, err := routeviews.Collect(res, peers, 0)
-	if err != nil {
-		return nil, err
-	}
-	return policyscope.NewStudyFromInputs(policyscope.StudyInputs{
-		Config:   c.studyConfig(topo, peers),
-		Topo:     topo,
-		Result:   res,
-		Peers:    peers,
-		Snapshot: snap,
-		Intern:   intern,
-	})
+	return policyscope.NewStudyFromInputs(in)
 }
 
 // studyConfig derives the analysis configuration a CAIDA study reports.

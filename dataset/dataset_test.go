@@ -15,6 +15,7 @@ import (
 	"time"
 
 	policyscope "github.com/policyscope/policyscope"
+	"github.com/policyscope/policyscope/obs"
 )
 
 // tinyConfig returns a fast-to-build study configuration; vary seed to
@@ -183,6 +184,55 @@ func TestCachedSourceRoundTrip(t *testing.T) {
 		if !bytes.Equal(wantJSON, gotJSON) {
 			t.Errorf("%s: cache hit diverged\n want %s\n  got %s", name, wantJSON, gotJSON)
 		}
+	}
+}
+
+// TestCachedConvergesOnce: a cold build converges its dataset once,
+// during the load, and warming its session adds nothing; a cache hit
+// decodes tables without converging and pays one lazy convergence on
+// first warm-up, after which what-ifs and the persistence series run on
+// clones of that engine.
+func TestCachedConvergesOnce(t *testing.T) {
+	ctx := context.Background()
+	runs := obs.NewCounter("policyscope_converge_runs_total", "")
+	passes := func(f func() error) uint64 {
+		t.Helper()
+		before := runs.Value()
+		if err := f(); err != nil {
+			t.Fatal(err)
+		}
+		return runs.Value() - before
+	}
+	dir := t.TempDir()
+	cold := NewCached(NewSynthetic(tinyConfig(11)), dir)
+	var study *policyscope.Study
+	if n := passes(func() (err error) { study, err = cold.Load(ctx); return err }); n != 1 {
+		t.Fatalf("cold load converged %d times, want 1", n)
+	}
+	if n := passes(policyscope.NewSessionFromStudy(study).Warm); n != 0 {
+		t.Fatalf("warming a cold-built study converged %d times, want 0", n)
+	}
+
+	var cached *policyscope.Study
+	if n := passes(func() (err error) { cached, err = cold.Load(ctx); return err }); n != 0 {
+		t.Fatalf("cache hit converged %d times while loading, want 0", n)
+	}
+	se := policyscope.NewSessionFromStudy(cached)
+	if n := passes(se.Warm); n != 1 {
+		t.Fatalf("warming a cache hit converged %d times, want 1", n)
+	}
+	sc, _, _, ok := cached.FailoverScenario()
+	if !ok {
+		t.Fatal("no failover subject")
+	}
+	if n := passes(func() error {
+		if _, err := se.WhatIf(ctx, sc); err != nil {
+			return err
+		}
+		_, err := se.RunJSON(ctx, "figure6", []byte(`{"epochs": 3}`))
+		return err
+	}); n != 0 {
+		t.Fatalf("what-if and figure6 on a warm cache hit converged %d times, want 0", n)
 	}
 }
 

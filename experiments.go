@@ -12,7 +12,6 @@ import (
 	"github.com/policyscope/policyscope/internal/netx"
 	"github.com/policyscope/policyscope/internal/reports"
 	"github.com/policyscope/policyscope/internal/routeviews"
-	"github.com/policyscope/policyscope/internal/simulate"
 	"github.com/policyscope/policyscope/internal/topogen"
 )
 
@@ -509,8 +508,8 @@ type PersistenceOptions struct {
 }
 
 // Figure6and7Persistence collects an epoch series and analyzes SA
-// persistence at the largest Tier-1. The churn runs on a private
-// topology clone, so the study stays on the base configuration and
+// persistence at the largest Tier-1. The churn runs on a clone of the
+// study's base engine, so the study stays on the base configuration and
 // concurrent queries never observe mid-experiment policies.
 func (s *Study) Figure6and7Persistence(opts PersistenceOptions) (core.PersistenceResult, error) {
 	if opts.Epochs <= 0 {
@@ -528,16 +527,16 @@ func (s *Study) Figure6and7Persistence(opts PersistenceOptions) (core.Persistenc
 	if len(t1) == 0 {
 		return core.PersistenceResult{}, fmt.Errorf("policyscope: no tier-1 vantage")
 	}
-	series, err := routeviews.CollectSeries(s.Topo.Clone(), routeviews.SeriesOptions{
+	base, err := s.baseEngine()
+	if err != nil {
+		return core.PersistenceResult{}, err
+	}
+	series, err := routeviews.CollectSeries(base, routeviews.SeriesOptions{
 		Epochs:        opts.Epochs,
 		ChurnFraction: opts.ChurnFraction,
 		Seed:          s.Config.Seed + 7,
 		EpochSeconds:  opts.EpochSeconds,
-		Simulate: simulate.Options{
-			VantagePoints: s.Peers,
-			Parallelism:   s.Config.Parallelism,
-		},
-		Peers: s.Peers,
+		Peers:         s.Peers,
 	})
 	if err != nil {
 		return core.PersistenceResult{}, err

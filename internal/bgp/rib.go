@@ -303,8 +303,7 @@ func (t *RIB) CloneCOW() *RIB {
 }
 
 // DropPrefix removes every candidate for prefix, reporting whether the
-// prefix was present. Used when a simulation epoch recomputes a prefix
-// from scratch.
+// prefix was present. Used when a scenario withdraws a prefix.
 func (t *RIB) DropPrefix(prefix netx.Prefix) bool {
 	if _, ok := t.entries[prefix]; !ok {
 		return false

@@ -315,11 +315,14 @@ func TestEndToEndPersistence(t *testing.T) {
 		t.Fatal(err)
 	}
 	peers := routeviews.SelectPeers(topo, 8)
-	series, err := routeviews.CollectSeries(topo, routeviews.SeriesOptions{
+	base, err := simulate.NewEngine(topo, simulate.Options{VantagePoints: peers})
+	if err != nil {
+		t.Fatal(err)
+	}
+	series, err := routeviews.CollectSeries(base, routeviews.SeriesOptions{
 		Epochs:        6,
 		ChurnFraction: 0.04,
 		Seed:          11,
-		Simulate:      simulate.Options{VantagePoints: peers},
 		Peers:         peers,
 	})
 	if err != nil {

@@ -199,46 +199,76 @@ type SeriesOptions struct {
 	EpochSeconds uint32
 	// BaseTimestamp is the first snapshot's timestamp.
 	BaseTimestamp uint32
-	// Simulate carries the propagation options; VantagePoints must
-	// include every collector peer.
-	Simulate simulate.Options
-	// Peers is the collector peer set.
+	// Peers is the collector peer set; the engine's vantage points must
+	// include every one of them.
 	Peers []bgp.ASN
 }
 
-// CollectSeries simulates the topology, then alternates policy churn and
-// incremental re-simulation, snapshotting the collector at every epoch.
-// The topology's policies are mutated in place; callers wanting to keep
-// the original should pass topo.Clone().
-func CollectSeries(topo *topogen.Topology, opts SeriesOptions) (*Series, error) {
+// CollectSeries snapshots the collector over policy-churn epochs. The
+// first snapshot is base's converged state; every later epoch applies
+// one batch of export-policy churn, as scenario events, to a
+// copy-on-write clone of base and re-converges incrementally. base is
+// never mutated.
+func CollectSeries(base *simulate.Engine, opts SeriesOptions) (*Series, error) {
 	if opts.Epochs <= 0 {
 		return nil, fmt.Errorf("routeviews: Epochs must be positive")
 	}
 	if opts.EpochSeconds == 0 {
 		opts.EpochSeconds = 86400
 	}
-	res, err := simulate.Run(topo, opts.Simulate)
-	if err != nil {
-		return nil, err
-	}
+	eng := base.Clone()
 	series := &Series{}
-	snap, err := Collect(res, opts.Peers, opts.BaseTimestamp)
-	if err != nil {
-		return nil, err
-	}
-	series.Snapshots = append(series.Snapshots, snap)
-	for epoch := 1; epoch < opts.Epochs; epoch++ {
-		rng := rand.New(rand.NewSource(opts.Seed + int64(epoch)))
-		touched := topo.MutateExportPolicies(rng, opts.ChurnFraction)
-		res, err = simulate.RunSubset(topo, opts.Simulate, res, touched)
-		if err != nil {
-			return nil, err
+	for epoch := 0; epoch < opts.Epochs; epoch++ {
+		if epoch > 0 {
+			rng := rand.New(rand.NewSource(opts.Seed + int64(epoch)))
+			if events := churnEvents(eng.Topology(), rng, opts.ChurnFraction); len(events) > 0 {
+				if _, err := eng.Apply(simulate.Scenario{Events: events}); err != nil {
+					return nil, err
+				}
+			}
 		}
-		snap, err := Collect(res, opts.Peers, opts.BaseTimestamp+uint32(epoch)*opts.EpochSeconds)
+		snap, err := Collect(eng.Result(), opts.Peers, opts.BaseTimestamp+uint32(epoch)*opts.EpochSeconds)
 		if err != nil {
 			return nil, err
 		}
 		series.Snapshots = append(series.Snapshots, snap)
 	}
 	return series, nil
+}
+
+// churnEvents draws one epoch of export-policy churn (Figures 6–7:
+// operators "change prefix exporting pattern at different time").
+// Roughly fraction of the multihomed origins re-roll one prefix each,
+// cycling it between announce-to-all, announce-to-subset and
+// no-upstream tagging. A re-rolled prefix is first reset to
+// announce-to-all with no tag, then given its drawn policy. A negative
+// fraction draws no churn (the control series).
+func churnEvents(topo *topogen.Topology, rng *rand.Rand, fraction float64) []simulate.Event {
+	var events []simulate.Event
+	for _, asn := range topo.Order {
+		prefixes := topo.ASes[asn].Prefixes
+		providers := topo.Graph.Providers(asn)
+		if len(providers) < 2 || len(prefixes) == 0 {
+			continue
+		}
+		if rng.Float64() >= fraction {
+			continue
+		}
+		prefix := prefixes[rng.Intn(len(prefixes))]
+		for _, p := range providers {
+			events = append(events, simulate.ToggleProviderAnnouncement(prefix, p, true))
+		}
+		events = append(events, simulate.TagNoUpstream(prefix, 0))
+		switch rng.Intn(3) {
+		case 1:
+			// Withhold from every provider outside a random proper subset.
+			subsetSize := 1 + rng.Intn(len(providers)-1)
+			for _, idx := range rng.Perm(len(providers))[subsetSize:] {
+				events = append(events, simulate.ToggleProviderAnnouncement(prefix, providers[idx], false))
+			}
+		case 2:
+			events = append(events, simulate.TagNoUpstream(prefix, providers[rng.Intn(len(providers))]))
+		}
+	}
+	return events
 }

@@ -2,9 +2,12 @@ package routeviews
 
 import (
 	"bytes"
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"github.com/policyscope/policyscope/internal/bgp"
+	"github.com/policyscope/policyscope/internal/netx"
 	"github.com/policyscope/policyscope/internal/simulate"
 	"github.com/policyscope/policyscope/internal/topogen"
 )
@@ -161,12 +164,15 @@ func TestCollectSeries(t *testing.T) {
 		t.Fatal(err)
 	}
 	peers := SelectPeers(topo, 8)
-	series, err := CollectSeries(topo, SeriesOptions{
+	base, err := simulate.NewEngine(topo, simulate.Options{VantagePoints: peers})
+	if err != nil {
+		t.Fatal(err)
+	}
+	series, err := CollectSeries(base, SeriesOptions{
 		Epochs:        4,
 		ChurnFraction: 0.3,
 		Seed:          5,
 		EpochSeconds:  3600,
-		Simulate:      simulate.Options{VantagePoints: peers},
 		Peers:         peers,
 	})
 	if err != nil {
@@ -196,55 +202,154 @@ func TestCollectSeries(t *testing.T) {
 	if !changed {
 		t.Fatal("no route changed across churn epochs")
 	}
-	if _, err := CollectSeries(topo, SeriesOptions{Epochs: 0}); err == nil {
+	// The series ran on a clone: the base engine still answers epoch 0.
+	again, err := Collect(base.Result(), peers, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(mrtBytes(t, again), mrtBytes(t, first)) {
+		t.Fatal("CollectSeries mutated the base engine")
+	}
+	if _, err := CollectSeries(base, SeriesOptions{Epochs: 0}); err == nil {
 		t.Fatal("zero epochs must fail")
 	}
 }
 
-func TestSeriesEpochSubsetConsistency(t *testing.T) {
-	// A series epoch must equal a from-scratch run with the same mutated
-	// policies: catches stale-table bugs in the RunSubset adoption path.
-	topo, err := topogen.Generate(topogen.DefaultConfig(100, 63))
-	if err != nil {
-		t.Fatal(err)
-	}
-	peers := SelectPeers(topo, 6)
-	opts := SeriesOptions{
-		Epochs:        3,
-		ChurnFraction: 0.4,
-		Seed:          17,
-		Simulate:      simulate.Options{VantagePoints: peers},
-		Peers:         peers,
-	}
-	series, err := CollectSeries(topo, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// topo now carries the final epoch's policies; a fresh full run must
-	// match the last snapshot.
-	res, err := simulate.Run(topo, opts.Simulate)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh, err := Collect(res, peers, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	last := series.Snapshots[len(series.Snapshots)-1]
-	lastPrefixes := last.Prefixes()
-	freshPrefixes := fresh.Prefixes()
-	if len(lastPrefixes) != len(freshPrefixes) {
-		t.Fatalf("prefix counts: %d vs %d", len(lastPrefixes), len(freshPrefixes))
-	}
-	for _, prefix := range lastPrefixes {
-		for _, peer := range peers {
-			a, b := last.RouteFrom(peer, prefix), fresh.RouteFrom(peer, prefix)
-			if (a == nil) != (b == nil) {
-				t.Fatalf("presence diverges at %v/%v", peer, prefix)
+// TestSeriesMatchesFullRunEveryEpoch is the series oracle: at every
+// epoch, the snapshot the incremental engine-clone series took must be
+// byte-identical, as MRT, to a from-scratch simulation of a topology
+// that received the same churn through Scenario.ApplyToTopology.
+func TestSeriesMatchesFullRunEveryEpoch(t *testing.T) {
+	for _, tc := range []struct {
+		ases     int
+		topoSeed int64
+		seed     int64
+		churn    float64
+		epochs   int
+	}{
+		{120, 62, 5, 0.3, 5},
+		{150, 63, 17, 0.04, 6},
+		{100, 64, 3, 0.6, 4},
+	} {
+		topo, err := topogen.Generate(topogen.DefaultConfig(tc.ases, tc.topoSeed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		peers := SelectPeers(topo, 8)
+		opts := simulate.Options{VantagePoints: peers}
+		base, err := simulate.NewEngine(topo, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		series, err := CollectSeries(base, SeriesOptions{
+			Epochs:        tc.epochs,
+			ChurnFraction: tc.churn,
+			Seed:          tc.seed,
+			EpochSeconds:  3600,
+			Peers:         peers,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := topo.Clone()
+		churned := 0
+		for epoch, snap := range series.Snapshots {
+			if epoch > 0 {
+				rng := rand.New(rand.NewSource(tc.seed + int64(epoch)))
+				sc := simulate.Scenario{Events: churnEvents(ref, rng, tc.churn)}
+				churned += len(sc.Events)
+				if err := sc.ApplyToTopology(ref); err != nil {
+					t.Fatal(err)
+				}
 			}
-			if a != nil && !a.Path.Equal(b.Path) {
-				t.Fatalf("incremental epoch diverges at %v/%v: %v vs %v", peer, prefix, a.Path, b.Path)
+			res, err := simulate.Run(ref, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := Collect(res, peers, snap.Timestamp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(mrtBytes(t, snap), mrtBytes(t, want)) {
+				t.Fatalf("ases=%d seed=%d churn=%v: epoch %d diverges from a full run",
+					tc.ases, tc.seed, tc.churn, epoch)
 			}
 		}
+		if churned == 0 {
+			t.Fatalf("ases=%d seed=%d churn=%v: no churn drawn", tc.ases, tc.seed, tc.churn)
+		}
 	}
+}
+
+// TestChurnEvents checks the churn generator: it is deterministic per
+// seed, draws nothing for a negative fraction, and every prefix it
+// emits events for ends up re-rolled into a valid policy.
+func TestChurnEvents(t *testing.T) {
+	topo, err := topogen.Generate(topogen.DefaultConfig(300, 17))
+	if err != nil {
+		t.Fatal(err)
+	}
+	events := churnEvents(topo, rand.New(rand.NewSource(99)), 0.5)
+	if len(events) == 0 {
+		t.Fatal("no churn at fraction 0.5")
+	}
+	again := churnEvents(topo, rand.New(rand.NewSource(99)), 0.5)
+	if !reflect.DeepEqual(events, again) {
+		t.Fatal("churn not reproducible under identical seeds")
+	}
+	if none := churnEvents(topo, rand.New(rand.NewSource(99)), -1); len(none) != 0 {
+		t.Fatalf("negative fraction drew %d events", len(none))
+	}
+
+	// Every emitted prefix is re-rolled: it is reset to announce-to-all
+	// with no tag, then given its drawn policy.
+	resetTo := map[netx.Prefix]map[bgp.ASN]bool{}
+	cleared := map[netx.Prefix]bool{}
+	for _, ev := range events {
+		switch {
+		case ev.Kind == simulate.EventSAToggle && ev.Announce:
+			if resetTo[ev.Prefix] == nil {
+				resetTo[ev.Prefix] = map[bgp.ASN]bool{}
+			}
+			resetTo[ev.Prefix][ev.Provider] = true
+		case ev.Kind == simulate.EventNoUpstream && ev.Provider == 0:
+			cleared[ev.Prefix] = true
+		}
+	}
+	mutated := topo.Clone()
+	if err := (simulate.Scenario{Events: events}).ApplyToTopology(mutated); err != nil {
+		t.Fatal(err)
+	}
+	for prefix, announced := range resetTo {
+		origin := topo.PrefixOrigin[prefix]
+		providers := topo.Graph.Providers(origin)
+		if len(announced) != len(providers) || !cleared[prefix] {
+			t.Fatalf("%v: not reset before its re-roll", prefix)
+		}
+		export := mutated.Policies[origin].Export
+		set, subset := export.OriginProviders[prefix]
+		if subset && (len(set) == 0 || len(set) >= len(providers)) {
+			t.Fatalf("%v: announce subset of size %d over %d providers", prefix, len(set), len(providers))
+		}
+		for p := range set {
+			if !announced[p] {
+				t.Fatalf("%v: announce subset names non-provider %v", prefix, p)
+			}
+		}
+		if tag, tagged := export.NoUpstream[prefix]; tagged && (subset || !announced[tag]) {
+			t.Fatalf("%v: bad no-upstream tag %v (subset %v)", prefix, tag, subset)
+		}
+	}
+	if len(cleared) != len(resetTo) {
+		t.Fatalf("%d prefixes cleared, %d reset", len(cleared), len(resetTo))
+	}
+}
+
+func mrtBytes(t *testing.T, snap *Snapshot) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := snap.WriteMRT(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }

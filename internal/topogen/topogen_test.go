@@ -1,8 +1,8 @@
 package topogen
 
 import (
-	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
 	"github.com/policyscope/policyscope/internal/asgraph"
@@ -448,44 +448,6 @@ func TestCommunityTaggingRoundTrip(t *testing.T) {
 	}
 }
 
-func TestMutateExportPolicies(t *testing.T) {
-	topo := genSmall(t, 300, 17)
-	rng := rand.New(rand.NewSource(99))
-	touched := topo.MutateExportPolicies(rng, 0.5)
-	if len(touched) == 0 {
-		t.Fatal("no prefixes churned at fraction 0.5")
-	}
-	// Mutated policies stay structurally valid.
-	for _, asn := range topo.Order {
-		pol := topo.Policies[asn]
-		providers := topo.Graph.Providers(asn)
-		pset := map[bgp.ASN]bool{}
-		for _, p := range providers {
-			pset[p] = true
-		}
-		for _, set := range pol.Export.OriginProviders {
-			if len(set) == 0 {
-				t.Fatalf("%v: empty selective set after mutation", asn)
-			}
-			for p := range set {
-				if !pset[p] {
-					t.Fatalf("%v: mutated set names non-provider", asn)
-				}
-			}
-		}
-	}
-	// Mutation is reproducible under identical seeds.
-	rng2 := rand.New(rand.NewSource(99))
-	topo2 := genSmall(t, 300, 17)
-	if rng2Touched := topo2.MutateExportPolicies(rng2, 0.5); len(rng2Touched) != len(touched) {
-		t.Fatal("mutation not reproducible under identical seeds")
-	}
-	// A negative fraction is the no-churn control.
-	if none := topo.MutateExportPolicies(rng, -1); len(none) != 0 {
-		t.Fatalf("negative fraction churned %d prefixes", len(none))
-	}
-}
-
 func TestRegionAndNameAssignment(t *testing.T) {
 	topo := genSmall(t, 200, 21)
 	regions := map[Region]int{}
@@ -513,4 +475,14 @@ func TestSortedPrefixesHelper(t *testing.T) {
 	if len(got) != 2 || got[0].String() != "10.0.0.0/8" {
 		t.Fatalf("sortedPrefixes = %v", got)
 	}
+}
+
+// sortedPrefixes returns the keys of m in prefix order.
+func sortedPrefixes(m map[netx.Prefix]bool) []netx.Prefix {
+	out := make([]netx.Prefix, 0, len(m))
+	for p := range m {
+		out = append(out, p)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
+	return out
 }

@@ -2,6 +2,7 @@ package policyscope
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 )
@@ -214,7 +215,7 @@ func TestRunAllRendersEverything(t *testing.T) {
 	opts.HourlyEpochs = 0
 	opts.Routers = 6
 	opts.DriftRouters = 1
-	if err := s.RunAll(&buf, opts); err != nil {
+	if err := NewSessionFromStudy(s).RunAll(context.Background(), &buf, opts); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()

@@ -1,7 +1,6 @@
 package policyscope
 
 import (
-	"context"
 	"fmt"
 	"io"
 
@@ -41,13 +40,6 @@ func DefaultRunAllOptions() RunAllOptions {
 		DriftRouters:      4,
 		Figure9ASes:       3,
 	}
-}
-
-// RunAll executes every experiment of the paper in registry order and
-// renders the results to w. It returns the first error encountered.
-// (Study-first compatibility wrapper; see Session.RunAll.)
-func (s *Study) RunAll(w io.Writer, opts RunAllOptions) error {
-	return NewSessionFromStudy(s).RunAll(context.Background(), w, opts)
 }
 
 // Summary computes the study's headline paper-vs-measured comparisons.

@@ -19,18 +19,18 @@ import (
 	"github.com/policyscope/policyscope/obs"
 )
 
-// Session is the serving-side façade over a Study: it builds the Study
-// once, lazily memoizes the expensive shared artifacts behind
-// sync.Once-style gates — the converged simulation Result, the
-// Gao-inferred relationships and observed-path index (both on the Study
-// itself), the Looking-Glass server over the vantage tables, the
-// per-parameter persistence series, and the what-if Engine — and is
-// safe for many concurrent queries. What-if scenarios run on
-// copy-on-write clones of one pristine base engine, so parallel callers
-// never contend and never observe each other's mutations.
+// Session is the query API over a Study: it builds the Study once,
+// lazily memoizes the expensive shared artifacts behind sync.Once-style
+// gates — the Gao-inferred relationships and observed-path index (both
+// on the Study itself), the Looking-Glass server over the vantage
+// tables, and the per-parameter persistence series — and is safe for
+// many concurrent queries. The Study's converged engine is the
+// session's only converged state: what-ifs, sweeps and persistence
+// series run on copy-on-write clones of it, so parallel callers never
+// contend and never observe each other's mutations.
 //
-// Construction is free: the first query pays for generation and
-// simulation, every later query reuses them.
+// Construction is free: the first query pays for generation and the
+// one convergence, every later query reuses them.
 //
 //	sess := policyscope.NewSession(policyscope.DefaultConfig())
 //	res, err := sess.Run(ctx, "table5", nil)
@@ -41,10 +41,6 @@ type Session struct {
 	studyOnce sync.Once
 	study     *Study
 	studyErr  error
-
-	engineOnce sync.Once
-	engine     *simulate.Engine
-	engineErr  error
 
 	lgOnce sync.Once
 	lg     *lookingglass.Server
@@ -115,9 +111,8 @@ func NewSession(cfg Config) *Session {
 	}
 }
 
-// NewSessionFromStudy wraps an already-built Study (the Study-first
-// migration path: existing code that constructed a Study keeps it and
-// gains the query API on top).
+// NewSessionFromStudy wraps an already-built Study: code that
+// constructed a Study keeps it and gains the query API on top.
 func NewSessionFromStudy(s *Study) *Session {
 	se := NewSession(s.Config)
 	se.study = s
@@ -137,23 +132,20 @@ func (se *Session) Study() (*Study, error) {
 	return se.study, se.studyErr
 }
 
-// baseEngine returns the pristine what-if engine, building it on first
-// use. It is only ever cloned, never applied to.
+// baseEngine returns the study's converged engine. It is only ever
+// cloned, never applied to.
 func (se *Session) baseEngine() (*simulate.Engine, error) {
-	se.engineOnce.Do(func() {
-		s, err := se.Study()
-		if err != nil {
-			se.engineErr = err
-			return
-		}
-		se.engine, se.engineErr = s.WhatIfEngine()
-	})
-	return se.engine, se.engineErr
+	s, err := se.Study()
+	if err != nil {
+		return nil, err
+	}
+	return s.baseEngine()
 }
 
-// Warm eagerly builds the study and the base what-if engine. Servers
-// call it before accepting traffic, and to tell construction failures
-// (the session's fault) from per-query errors (the query's fault).
+// Warm eagerly builds the study and its converged engine: a fresh build
+// converges once, a cache hit converges its engine here. Servers call
+// it before accepting traffic, and to tell construction failures (the
+// session's fault) from per-query errors (the query's fault).
 // Snapshot-only studies have no engine to warm; Warm succeeds once the
 // study is built, and what-if/sweep calls fail per-query with
 // ErrNeedsGroundTruth.
@@ -165,15 +157,14 @@ func (se *Session) Warm() error {
 	if !s.HasGroundTruth() {
 		return nil
 	}
-	_, err = se.baseEngine()
+	_, err = s.baseEngine()
 	return err
 }
 
 // WhatIf answers one scenario against the session's base state. Each
-// call runs on a fresh copy-on-write clone of the memoized base engine,
-// so concurrent what-ifs are independent and the base state is never
-// mutated. Compare Study.WhatIf, which re-simulates a brand-new engine
-// per call. ctx gates the call (an already-canceled context returns
+// call runs on a fresh copy-on-write clone of the study's engine, so
+// concurrent what-ifs are independent and the base state is never
+// mutated. ctx gates the call (an already-canceled context returns
 // immediately); a single incremental apply is too fast to interrupt
 // mid-flight.
 func (se *Session) WhatIf(ctx context.Context, sc simulate.Scenario) (*WhatIfReport, error) {
@@ -181,7 +172,7 @@ func (se *Session) WhatIf(ctx context.Context, sc simulate.Scenario) (*WhatIfRep
 	if err != nil {
 		return nil, err
 	}
-	base, err := se.baseEngine()
+	base, err := s.baseEngine()
 	if err != nil {
 		return nil, err
 	}
@@ -261,7 +252,7 @@ func (se *Session) SweepScenariosCached(ctx context.Context, spec sweep.Spec) ([
 
 // Sweep runs a batch of scenarios against the session's base state on
 // the sharded sweep executor: workers own copy-on-write clones of the
-// memoized base engine, records stream through opts.OnImpact in
+// study's engine, records stream through opts.OnImpact in
 // scenario index order, and the aggregate summarizes the whole batch.
 // ctx cancels the sweep between scenarios. The base state is never
 // mutated, so concurrent sweeps and what-ifs are independent.

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"github.com/policyscope/policyscope/internal/simulate"
 	"github.com/policyscope/policyscope/internal/topogen"
 )
 
@@ -176,8 +177,8 @@ func TestSessionPersistenceZeroChurn(t *testing.T) {
 }
 
 // TestSessionWhatIfMatchesStudyWhatIf proves the copy-on-write fast
-// path answers scenarios identically to Study.WhatIf's
-// fresh-engine-per-call baseline.
+// path answers scenarios identically to a report built on an engine
+// freshly converged from the study's topology.
 func TestSessionWhatIfMatchesStudyWhatIf(t *testing.T) {
 	se := smallSession(t)
 	s, err := se.Study()
@@ -188,7 +189,11 @@ func TestSessionWhatIfMatchesStudyWhatIf(t *testing.T) {
 	if !ok {
 		t.Skip("no failover subject")
 	}
-	slow, err := s.WhatIf(sc)
+	fresh, err := simulate.NewEngine(s.Topo, simulate.Options{VantagePoints: s.Peers})
+	if err != nil {
+		t.Fatal(err)
+	}
+	slow, err := s.whatIfOn(fresh, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,10 +310,11 @@ func TestRunAllJSONDeterminism(t *testing.T) {
 }
 
 // TestSessionRunAllMatchesStudyRunAll: the registry-driven sweep renders
-// through the same text path whether entered via Study or Session.
+// identically whether the session built its own study or wraps one
+// built up front with NewStudy.
 func TestSessionRunAllMatchesStudyRunAll(t *testing.T) {
 	se := smallSession(t)
-	s, err := se.Study()
+	s, err := NewStudy(se.Config())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,11 +326,11 @@ func TestSessionRunAllMatchesStudyRunAll(t *testing.T) {
 	if err := se.RunAll(context.Background(), &a, opts); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.RunAll(&b, opts); err != nil {
+	if err := NewSessionFromStudy(s).RunAll(context.Background(), &b, opts); err != nil {
 		t.Fatal(err)
 	}
 	if a.String() != b.String() {
-		t.Fatal("Session.RunAll and Study.RunAll diverge")
+		t.Fatal("NewSession and NewSessionFromStudy render RunAll differently")
 	}
 }
 

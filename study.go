@@ -124,9 +124,18 @@ func DefaultConfig() Config {
 // imported MRT table dump — carry just the collector snapshot, run the
 // snapshot-driven experiments, and answer ground-truth-dependent ones
 // with ErrNeedsGroundTruth.
+//
+// A ground-truth study has exactly one converged state: the
+// simulate.Engine its dataset build converged. Topo and Result are
+// read-only views of that engine, and every what-if, sweep and
+// persistence series runs on a copy-on-write clone of it, so the base
+// engine is never applied to. A study loaded from the cache, which
+// persists tables but not the engine, converges its engine lazily on
+// first use, once.
 type Study struct {
 	Config Config
 	// Topo is the generated ground truth (nil for snapshot-only studies).
+	// Treat it as read-only: it is the base engine's topology.
 	Topo *topogen.Topology
 	// Peers are the collector's peer ASes (all of them vantage points).
 	Peers []bgp.ASN
@@ -135,7 +144,8 @@ type Study struct {
 	// has no full tables).
 	LookingGlass []bgp.ASN
 	// Result holds the converged state (full tables at every peer; nil
-	// for snapshot-only studies).
+	// for snapshot-only studies). Treat it as read-only: its tables are
+	// the base engine's.
 	Result *simulate.Result
 	// Snapshot is the collector's best-route view.
 	Snapshot *routeviews.Snapshot
@@ -155,6 +165,9 @@ type Study struct {
 
 	// Lazily memoized shared artifacts. All gates are safe for
 	// concurrent use, so many Session queries can share one Study.
+	baseOnce     sync.Once
+	base         *simulate.Engine
+	baseErr      error
 	inferOnce    sync.Once
 	inferred     *gaorelation.Inference
 	pathOnce     sync.Once
@@ -243,6 +256,11 @@ type StudyInputs struct {
 	// Config records how the inputs were produced (or, for imports, how
 	// to analyze them: seed, parallelism, inference toggle).
 	Config Config
+	// Engine is the converged state a ground-truth build produced. When
+	// set, Topo and Result are taken from it and it becomes the study's
+	// base engine. Nil for snapshot-only inputs and for inputs decoded
+	// from the cache, which carry Topo and Result instead.
+	Engine *simulate.Engine
 	// Topo is the generated ground truth; nil for snapshot-only inputs.
 	Topo *topogen.Topology
 	// Result holds the full per-vantage tables; nil for snapshot-only
@@ -281,8 +299,17 @@ func GenerateInputs(cfg Config) (StudyInputs, error) {
 	if err != nil {
 		return StudyInputs{}, err
 	}
+	return ConvergeInputs(cfg, topo, peers)
+}
+
+// ConvergeInputs converges topo with the collector peers as vantage
+// points and collects the collector snapshot — the shared tail of every
+// ground-truth dataset build. The inputs carry the converged engine,
+// which becomes the study's only converged state. A prefix that fails
+// to converge is an error.
+func ConvergeInputs(cfg Config, topo *topogen.Topology, peers []bgp.ASN) (StudyInputs, error) {
 	intern := bgp.NewIntern()
-	res, err := simulate.Run(topo, simulate.Options{
+	eng, err := simulate.NewEngine(topo, simulate.Options{
 		VantagePoints: peers,
 		Parallelism:   cfg.Parallelism,
 		Intern:        intern,
@@ -290,14 +317,14 @@ func GenerateInputs(cfg Config) (StudyInputs, error) {
 	if err != nil {
 		return StudyInputs{}, err
 	}
-	if len(res.Unconverged) > 0 {
-		return StudyInputs{}, fmt.Errorf("policyscope: %d prefixes did not converge", len(res.Unconverged))
+	if n := eng.UnconvergedCount(); n > 0 {
+		return StudyInputs{}, fmt.Errorf("policyscope: %d prefixes did not converge", n)
 	}
-	snap, err := routeviews.Collect(res, peers, 0)
+	snap, err := routeviews.Collect(eng.Result(), peers, 0)
 	if err != nil {
 		return StudyInputs{}, err
 	}
-	return StudyInputs{Config: cfg, Topo: topo, Result: res, Peers: peers, Snapshot: snap, Intern: intern}, nil
+	return StudyInputs{Config: cfg, Engine: eng, Peers: peers, Snapshot: snap, Intern: intern}, nil
 }
 
 // GenerateTopology generates just the annotated topology and the
@@ -327,6 +354,9 @@ func GenerateTopology(cfg Config) (*topogen.Topology, []bgp.ASN, error) {
 func NewStudyFromInputs(in StudyInputs) (*Study, error) {
 	if in.Snapshot == nil {
 		return nil, fmt.Errorf("policyscope: inputs have no snapshot")
+	}
+	if in.Engine != nil {
+		in.Topo, in.Result = in.Engine.Topology(), in.Engine.Result()
 	}
 	if (in.Topo == nil) != (in.Result == nil) {
 		return nil, fmt.Errorf("policyscope: inputs must carry both Topo and Result or neither")
@@ -358,6 +388,7 @@ func NewStudyFromInputs(in StudyInputs) (*Study, error) {
 		Result:   in.Result,
 		Snapshot: in.Snapshot,
 		Intern:   intern,
+		base:     in.Engine,
 	}
 	if in.Result != nil {
 		if cfg.LookingGlassASes <= 0 {
@@ -398,6 +429,28 @@ func NewStudyFromInputs(in StudyInputs) (*Study, error) {
 // Parallelism); sizing fields are derived from the snapshot.
 func NewStudyFromSnapshot(snap *routeviews.Snapshot, cfg Config) (*Study, error) {
 	return NewStudyFromInputs(StudyInputs{Config: cfg, Snapshot: snap})
+}
+
+// baseEngine returns the study's converged engine: the one the dataset
+// build carried, or — for a cache-hit study — one converged from Topo
+// on first use. It is only ever cloned, never applied to. Safe for
+// concurrent callers.
+func (s *Study) baseEngine() (*simulate.Engine, error) {
+	s.baseOnce.Do(func() {
+		if s.base != nil {
+			return
+		}
+		if s.Topo == nil {
+			s.baseErr = &NeedsGroundTruthError{Op: "what-if engine"}
+			return
+		}
+		s.base, s.baseErr = simulate.NewEngine(s.Topo, simulate.Options{
+			VantagePoints: s.Peers,
+			Parallelism:   s.Config.Parallelism,
+			Intern:        s.Intern,
+		})
+	})
+	return s.base, s.baseErr
 }
 
 // HasGroundTruth reports whether the study carries generator ground

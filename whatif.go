@@ -15,9 +15,9 @@ import (
 // scenario engine asks which routes they *would* use after a change —
 // the catchment and failover questions the related what-if literature
 // (Sermpezis & Kotronis's catchment inference, Karlin et al.'s
-// nation-state routing) studies. Study.WhatIf applies a scenario to the
-// study's converged Internet and reports the catchment shift and
-// reachability delta, re-converging incrementally.
+// nation-state routing) studies. Session.WhatIf applies a scenario to a
+// clone of the study's converged Internet and reports the catchment
+// shift and reachability delta, re-converging incrementally.
 
 // WhatIfReport is the outcome of one scenario application.
 type WhatIfReport struct {
@@ -32,31 +32,17 @@ type WhatIfReport struct {
 	LostReach, GainedReach int
 }
 
-// WhatIfEngine builds a scenario engine over the study's topology and
-// simulation options. The engine owns an independent topology clone;
+// WhatIfEngine returns an independent scenario engine over the study's
+// converged state: a copy-on-write clone of the base engine, so
 // successive Apply calls compound on it while the study itself stays on
-// the base configuration.
+// the base configuration. Single scenarios and batches need no engine
+// of their own: use Session.WhatIf and Session.Sweep.
 func (s *Study) WhatIfEngine() (*simulate.Engine, error) {
-	if s.Topo == nil {
-		return nil, &NeedsGroundTruthError{Op: "what-if engine"}
-	}
-	return simulate.NewEngine(s.Topo, simulate.Options{
-		VantagePoints: s.Peers,
-		Parallelism:   s.Config.Parallelism,
-		Intern:        s.Intern,
-	})
-}
-
-// WhatIf answers one scenario from the study's base state: it builds a
-// fresh engine, applies the scenario incrementally, and summarizes the
-// shift. For chained event sequences build one WhatIfEngine and Apply
-// repeatedly instead.
-func (s *Study) WhatIf(sc simulate.Scenario) (*WhatIfReport, error) {
-	eng, err := s.WhatIfEngine()
+	base, err := s.baseEngine()
 	if err != nil {
 		return nil, err
 	}
-	return s.whatIfOn(eng, sc)
+	return base.Clone(), nil
 }
 
 func (s *Study) whatIfOn(eng *simulate.Engine, sc simulate.Scenario) (*WhatIfReport, error) {

@@ -2,6 +2,7 @@ package policyscope
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -17,7 +18,7 @@ func TestStudyWhatIfFailover(t *testing.T) {
 	if stub == 0 || provider == 0 {
 		t.Fatalf("bad endpoints %v %v", stub, provider)
 	}
-	rep, err := s.WhatIf(sc)
+	rep, err := NewSessionFromStudy(s).WhatIf(context.Background(), sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,6 +49,10 @@ func TestStudyWhatIfFailover(t *testing.T) {
 	}
 }
 
+// TestStudyWhatIfEngineChained compounds a link failure and its
+// restoration on one WhatIfEngine, checks both states against fresh
+// full simulations, and checks that the study's own Result — a view of
+// the base engine the what-if engine was cloned from — never moves.
 func TestStudyWhatIfEngineChained(t *testing.T) {
 	s := smallStudy(t)
 	eng, err := s.WhatIfEngine()
@@ -58,8 +63,27 @@ func TestStudyWhatIfEngineChained(t *testing.T) {
 	if !ok {
 		t.Skip("no failover subject")
 	}
+	opts := simulate.Options{VantagePoints: s.Peers}
+	base, err := simulate.Run(s.Topo, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, err := eng.Apply(sc); err != nil {
 		t.Fatal(err)
+	}
+	failed := s.Topo.Clone()
+	if err := sc.ApplyToTopology(failed); err != nil {
+		t.Fatal(err)
+	}
+	want, err := simulate.Run(failed, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if diffs := simulate.DiffResults(eng.Result(), want); len(diffs) > 0 {
+		t.Fatalf("failover diverges from a full run: %v", diffs[:min(3, len(diffs))])
+	}
+	if diffs := simulate.DiffResults(s.Result, base); len(diffs) > 0 {
+		t.Fatalf("what-if engine mutated the study's Result: %v", diffs[:min(3, len(diffs))])
 	}
 	// Chain a second event on the compounded state: restore the link.
 	rel := s.Topo.Graph.Rel(stub, provider)
@@ -71,11 +95,10 @@ func TestStudyWhatIfEngineChained(t *testing.T) {
 	if delta.Recomputed == 0 {
 		t.Fatal("restore recomputed nothing")
 	}
-	base, err := simulate.Run(s.Topo, simulate.Options{VantagePoints: s.Peers})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if diffs := simulate.DiffResults(eng.Result(), base); len(diffs) > 0 {
 		t.Fatalf("fail+restore did not round-trip: %v", diffs[:min(3, len(diffs))])
+	}
+	if diffs := simulate.DiffResults(s.Result, base); len(diffs) > 0 {
+		t.Fatalf("what-if engine mutated the study's Result: %v", diffs[:min(3, len(diffs))])
 	}
 }
