@@ -179,7 +179,10 @@ func peerIP(asn bgp.ASN) uint32 {
 }
 
 // Series is a sequence of snapshots over policy-churn epochs — the
-// substrate of the paper's Figures 6 and 7.
+// substrate of the paper's Figures 6 and 7. Each snapshot after the
+// first shares every table entry its epoch's churn did not touch with
+// its predecessor, copy-on-write (the bgp.RIB.CloneCOW contract):
+// treat every snapshot's Table as read-only.
 type Series struct {
 	// Snapshots, one per epoch, in time order.
 	Snapshots []*Snapshot
@@ -208,32 +211,71 @@ type SeriesOptions struct {
 // first snapshot is base's converged state; every later epoch applies
 // one batch of export-policy churn, as scenario events, to a
 // copy-on-write clone of base and re-converges incrementally. base is
-// never mutated.
+// never mutated. Each later snapshot re-collects only the prefixes its
+// epoch's churn named and shares every other table entry with its
+// predecessor, copy-on-write, so the snapshots must be treated as
+// read-only.
 func CollectSeries(base *simulate.Engine, opts SeriesOptions) (*Series, error) {
 	if opts.Epochs <= 0 {
 		return nil, fmt.Errorf("routeviews: Epochs must be positive")
+	}
+	if len(opts.Peers) == 0 {
+		return nil, fmt.Errorf("routeviews: Peers must not be empty")
 	}
 	if opts.EpochSeconds == 0 {
 		opts.EpochSeconds = 86400
 	}
 	eng := base.Clone()
-	series := &Series{}
-	for epoch := 0; epoch < opts.Epochs; epoch++ {
-		if epoch > 0 {
-			rng := rand.New(rand.NewSource(opts.Seed + int64(epoch)))
-			if events := churnEvents(eng.Topology(), rng, opts.ChurnFraction); len(events) > 0 {
-				if _, err := eng.Apply(simulate.Scenario{Events: events}); err != nil {
-					return nil, err
-				}
+	snap, err := Collect(eng.Result(), opts.Peers, opts.BaseTimestamp)
+	if err != nil {
+		return nil, err
+	}
+	series := &Series{Snapshots: []*Snapshot{snap}}
+	for epoch := 1; epoch < opts.Epochs; epoch++ {
+		rng := rand.New(rand.NewSource(opts.Seed + int64(epoch)))
+		events := churnEvents(eng.Topology(), rng, opts.ChurnFraction)
+		if len(events) > 0 {
+			if _, err := eng.Apply(simulate.Scenario{Events: events}); err != nil {
+				return nil, err
 			}
 		}
-		snap, err := Collect(eng.Result(), opts.Peers, opts.BaseTimestamp+uint32(epoch)*opts.EpochSeconds)
-		if err != nil {
-			return nil, err
-		}
+		snap = snap.successor(eng.Result(), events, opts.BaseTimestamp+uint32(epoch)*opts.EpochSeconds)
 		series.Snapshots = append(series.Snapshots, snap)
 	}
 	return series, nil
+}
+
+// successor returns the snapshot that follows s once events have been
+// applied to the engine whose state res shows. It is a CloneCOW of s's
+// table in which the entry of every prefix an event names is rebuilt
+// from each peer's current best route, in ascending peer order as
+// Collect does; every other entry stays shared with s. That is exact
+// only because churnEvents emits per-prefix policy events, which
+// re-converge the prefix they name and no other.
+func (s *Snapshot) successor(res *simulate.Result, events []simulate.Event, timestamp uint32) *Snapshot {
+	// Sort s's prefixes once so every successor with the same prefix
+	// set inherits the cached order instead of re-sorting it.
+	s.Table.Prefixes()
+	next := &Snapshot{
+		Timestamp: timestamp,
+		Peers:     append([]bgp.ASN(nil), s.Peers...),
+		Table:     s.Table.CloneCOW(),
+	}
+	done := make(map[netx.Prefix]bool)
+	for _, ev := range events {
+		if done[ev.Prefix] {
+			continue
+		}
+		done[ev.Prefix] = true
+		for _, peer := range next.Peers {
+			if r := res.Tables[peer].Best(ev.Prefix); r != nil {
+				next.Table.Upsert(peer, r)
+			} else {
+				next.Table.Withdraw(peer, ev.Prefix)
+			}
+		}
+	}
+	return next
 }
 
 // churnEvents draws one epoch of export-policy churn (Figures 6–7:
@@ -242,7 +284,9 @@ func CollectSeries(base *simulate.Engine, opts SeriesOptions) (*Series, error) {
 // cycling it between announce-to-all, announce-to-subset and
 // no-upstream tagging. A re-rolled prefix is first reset to
 // announce-to-all with no tag, then given its drawn policy. A negative
-// fraction draws no churn (the control series).
+// fraction draws no churn (the control series). Every event is an
+// EventSAToggle or EventNoUpstream naming its prefix: CollectSeries
+// re-collects only those prefixes, so it depends on this.
 func churnEvents(topo *topogen.Topology, rng *rand.Rand, fraction float64) []simulate.Event {
 	var events []simulate.Event
 	for _, asn := range topo.Order {

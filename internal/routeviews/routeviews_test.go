@@ -210,8 +210,106 @@ func TestCollectSeries(t *testing.T) {
 	if !bytes.Equal(mrtBytes(t, again), mrtBytes(t, first)) {
 		t.Fatal("CollectSeries mutated the base engine")
 	}
-	if _, err := CollectSeries(base, SeriesOptions{Epochs: 0}); err == nil {
+	if _, err := CollectSeries(base, SeriesOptions{Epochs: 0, Peers: peers}); err == nil {
 		t.Fatal("zero epochs must fail")
+	}
+	if _, err := CollectSeries(base, SeriesOptions{Epochs: 3}); err == nil {
+		t.Fatal("an empty peer set must fail")
+	}
+	// No two snapshots share a Peers slice.
+	for i := 1; i < len(series.Snapshots); i++ {
+		if &series.Snapshots[i].Peers[0] == &series.Snapshots[i-1].Peers[0] {
+			t.Fatalf("snapshots %d and %d share their Peers slice", i-1, i)
+		}
+	}
+}
+
+// TestSeriesSnapshotChain is the oracle of the copy-on-write snapshot
+// chain: every snapshot must equal, as MRT, a full Collect of an engine
+// clone driven through the same churn in lockstep. The series is built
+// completely before any epoch is checked, so a later epoch writing into
+// an entry it still shares with an earlier snapshot fails the check.
+func TestSeriesSnapshotChain(t *testing.T) {
+	topo, err := topogen.Generate(topogen.DefaultConfig(150, 63))
+	if err != nil {
+		t.Fatal(err)
+	}
+	peers := SelectPeers(topo, 10)
+	base, err := simulate.NewEngine(topo, simulate.Options{VantagePoints: peers})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		seed   int64
+		churn  float64
+		epochs int
+		// rerolled demands that some prefix re-rolls in two
+		// consecutive epochs, so a successor rewrites an entry its
+		// predecessor itself rewrote.
+		rerolled bool
+	}{
+		{5, 0.3, 6, true},
+		{17, 0.04, 8, true},
+		{3, 0.6, 5, true},
+		{11, 0.01, 10, false},
+	} {
+		series, err := CollectSeries(base, SeriesOptions{
+			Epochs:        tc.epochs,
+			ChurnFraction: tc.churn,
+			Seed:          tc.seed,
+			EpochSeconds:  3600,
+			Peers:         peers,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		lockstep := base.Clone()
+		var prev map[netx.Prefix]bool
+		rerolled := false
+		for epoch, snap := range series.Snapshots {
+			churned := map[netx.Prefix]bool{}
+			if epoch > 0 {
+				rng := rand.New(rand.NewSource(tc.seed + int64(epoch)))
+				events := churnEvents(lockstep.Topology(), rng, tc.churn)
+				for _, ev := range events {
+					churned[ev.Prefix] = true
+					rerolled = rerolled || prev[ev.Prefix]
+				}
+				if len(events) > 0 {
+					if _, err := lockstep.Apply(simulate.Scenario{Events: events}); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			prev = churned
+			want, err := Collect(lockstep.Result(), peers, snap.Timestamp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(mrtBytes(t, snap), mrtBytes(t, want)) {
+				t.Fatalf("seed=%d churn=%v: epoch %d differs from a full Collect", tc.seed, tc.churn, epoch)
+			}
+		}
+		if tc.rerolled && !rerolled {
+			t.Fatalf("seed=%d churn=%v: no prefix re-rolled in consecutive epochs", tc.seed, tc.churn)
+		}
+	}
+
+	// Control: with a negative fraction nothing churns, so every epoch
+	// is epoch 0 under another timestamp.
+	series, err := CollectSeries(base, SeriesOptions{
+		Epochs: 5, ChurnFraction: -1, Seed: 5, EpochSeconds: 3600, Peers: peers,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := mrtBytes(t, series.Snapshots[0])
+	for epoch, snap := range series.Snapshots[1:] {
+		restamped := *snap
+		restamped.Timestamp = series.Snapshots[0].Timestamp
+		if !bytes.Equal(mrtBytes(t, &restamped), first) {
+			t.Fatalf("control series: epoch %d differs from epoch 0", epoch+1)
+		}
 	}
 }
 
@@ -299,6 +397,16 @@ func TestChurnEvents(t *testing.T) {
 	}
 	if none := churnEvents(topo, rand.New(rand.NewSource(99)), -1); len(none) != 0 {
 		t.Fatalf("negative fraction drew %d events", len(none))
+	}
+	// CollectSeries re-collects only the prefixes the events name, which
+	// is exact only for per-prefix policy events.
+	for _, ev := range events {
+		if ev.Kind != simulate.EventSAToggle && ev.Kind != simulate.EventNoUpstream {
+			t.Fatalf("churn emitted a %v event", ev.Kind)
+		}
+		if ev.Prefix == (netx.Prefix{}) {
+			t.Fatalf("churn emitted a %v event without a prefix", ev.Kind)
+		}
 	}
 
 	// Every emitted prefix is re-rolled: it is reset to announce-to-all

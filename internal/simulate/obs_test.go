@@ -8,6 +8,7 @@ package simulate
 // scripts/bench_obs.sh overhead gate (≤3%).
 
 import (
+	"runtime/debug"
 	"testing"
 
 	"github.com/policyscope/policyscope/obs"
@@ -42,6 +43,10 @@ func TestApplyRollbackAllocIdenticalWithObs(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		cycle()
 	}
+	// A collection inside the measured window empties sync.Pool worker
+	// states and goroutine free lists, and refilling them costs
+	// allocations on one side only; keep the GC off while measuring.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	defer obs.SetEnabled(true)
 	obs.SetEnabled(true)
 	on := testing.AllocsPerRun(20, cycle)
@@ -66,6 +71,10 @@ func TestConvergeAllocIdenticalWithObs(t *testing.T) {
 		}
 	}
 	run() // warm shared intern state
+	// A collection inside the measured window empties sync.Pool worker
+	// states and goroutine free lists, and refilling them costs
+	// allocations on one side only; keep the GC off while measuring.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	defer obs.SetEnabled(true)
 	obs.SetEnabled(true)
 	on := testing.AllocsPerRun(5, run)
